@@ -46,6 +46,9 @@ struct KernelResult {
     /// Exact mode only: the same batch kernel forced onto the scalar
     /// skeleton — the A/B partner of the lane path, bit-identical to it.
     scalar: Option<InteractionRate>,
+    /// Exact mode on an AVX-512 lane path only: the same batch kernel
+    /// forced onto the 4-lane AVX2 path, the middle of the A/B ladder.
+    avx2: Option<InteractionRate>,
 }
 
 impl KernelResult {
@@ -56,6 +59,11 @@ impl KernelResult {
     /// Lane kernel vs the scalar batch skeleton (exact mode only).
     fn lane_speedup(&self) -> Option<f64> {
         self.scalar.as_ref().map(|s| self.batch.per_second() / s.per_second())
+    }
+
+    /// Widest lane path vs the AVX2 path (AVX-512 hosts only).
+    fn avx2_speedup(&self) -> Option<f64> {
+        self.avx2.as_ref().map(|s| self.batch.per_second() / s.per_second())
     }
 }
 
@@ -68,6 +76,7 @@ fn mode_str(mode: ArithMode) -> &'static str {
 
 fn lane_str(path: LanePath) -> &'static str {
     match path {
+        LanePath::Avx512 => "avx512",
         LanePath::Avx2 => "avx2",
         LanePath::Portable => "portable",
         LanePath::Scalar => "scalar",
@@ -108,12 +117,16 @@ fn measure(n: usize, mode: ArithMode, quick: bool) -> KernelResult {
     let _ = g5.force_on(&snap.pos[..16.min(n)]);
     let _ = g5.force_on_reference(&snap.pos[..16.min(n)]);
     // exact mode additionally A/Bs the lane kernel against the scalar
-    // batch skeleton it replaced (both bit-identical by the golden suite)
+    // batch skeleton it replaced and, on an AVX-512 host, against the
+    // AVX2 path (all bit-identical by the golden suite)
     let measure_scalar = mode == ArithMode::Exact && lane != LanePath::Scalar;
-    if measure_scalar {
-        g5.set_lane_path(LanePath::Scalar);
-        let _ = g5.force_on(&snap.pos[..16.min(n)]);
-        g5.set_lane_path(lane);
+    let measure_avx2 = mode == ArithMode::Exact && lane == LanePath::Avx512;
+    for (on, path) in [(measure_scalar, LanePath::Scalar), (measure_avx2, LanePath::Avx2)] {
+        if on {
+            g5.set_lane_path(path);
+            let _ = g5.force_on(&snap.pos[..16.min(n)]);
+            g5.set_lane_path(lane);
+        }
     }
 
     let run = |g5: &mut Grape5, target: u64, reference: bool, off: &mut usize| {
@@ -132,12 +145,19 @@ fn measure(n: usize, mode: ArithMode, quick: bool) -> KernelResult {
     };
 
     let (mut bi, mut bs, mut ri, mut rs) = (0u64, 0.0f64, 0u64, 0.0f64);
-    let (mut si, mut ss) = (0u64, 0.0f64);
-    let (mut off_b, mut off_r, mut off_s) = (0usize, 0usize, 0usize);
+    let (mut si, mut ss, mut ai, mut as_) = (0u64, 0.0f64, 0u64, 0.0f64);
+    let (mut off_b, mut off_r, mut off_s, mut off_a) = (0usize, 0usize, 0usize, 0usize);
     for _ in 0..rounds {
         let (i, s) = run(&mut g5, batch_target / rounds, false, &mut off_b);
         bi += i;
         bs += s;
+        if measure_avx2 {
+            g5.set_lane_path(LanePath::Avx2);
+            let (i, s) = run(&mut g5, batch_target / rounds, false, &mut off_a);
+            ai += i;
+            as_ += s;
+            g5.set_lane_path(lane);
+        }
         if measure_scalar {
             g5.set_lane_path(LanePath::Scalar);
             let (i, s) = run(&mut g5, ref_target / rounds, false, &mut off_s);
@@ -152,7 +172,8 @@ fn measure(n: usize, mode: ArithMode, quick: bool) -> KernelResult {
     let batch = InteractionRate::new(bi, bs);
     let reference = InteractionRate::new(ri, rs);
     let scalar = measure_scalar.then(|| InteractionRate::new(si, ss));
-    KernelResult { n, mode, nj, load_s, batch, reference, lane, scalar }
+    let avx2 = measure_avx2.then(|| InteractionRate::new(ai, as_));
+    KernelResult { n, mode, nj, load_s, batch, reference, lane, scalar, avx2 }
 }
 
 fn result_row(r: &KernelResult) {
@@ -162,12 +183,18 @@ fn result_row(r: &KernelResult) {
         }
         None => ("-".to_string(), "-".to_string()),
     };
+    let avx2_col = match &r.avx2 {
+        Some(a) => format!("{:.1}", a.ns_per_interaction()),
+        None => "-".to_string(),
+    };
     println!(
-        "{:>8} {:>6} {:>12.3e} {:>10.1} {:>12} {:>8} {:>12.3e} {:>9.2}x {:>9.2}",
+        "{:>8} {:>6} {:>8} {:>12.3e} {:>8.1} {:>9} {:>12} {:>8} {:>12.3e} {:>9.2}x {:>9.2}",
         r.n,
         mode_str(r.mode),
+        lane_str(r.lane),
         r.batch.per_second(),
         r.batch.ns_per_interaction(),
+        avx2_col,
         scalar_col,
         lane_col,
         r.reference.per_second(),
@@ -259,6 +286,20 @@ fn json_line(r: &KernelResult) -> String {
         )
         .unwrap(),
     }
+    s.pop(); // reopen the object for the AVX2 rung of the ladder
+    match (&r.avx2, r.avx2_speedup()) {
+        (Some(a), Some(x)) => write!(
+            s,
+            ", \"avx2_per_second\": {}, \"avx2_ns_per_interaction\": {}, \"lane_vs_avx2\": {}}}",
+            a.per_second(),
+            a.ns_per_interaction(),
+            x,
+        )
+        .unwrap(),
+        _ => s.push_str(
+            ", \"avx2_per_second\": null, \"avx2_ns_per_interaction\": null, \"lane_vs_avx2\": null}",
+        ),
+    }
     s
 }
 
@@ -315,20 +356,22 @@ fn main() {
     );
     println!("     workload: Plummer sphere, seed {SEED}, eps {EPS}; both paths bit-identical");
     println!();
-    rule(96);
+    rule(110);
     println!(
-        "{:>8} {:>6} {:>12} {:>10} {:>12} {:>8} {:>12} {:>10} {:>9}",
+        "{:>8} {:>6} {:>8} {:>12} {:>8} {:>9} {:>12} {:>8} {:>12} {:>10} {:>9}",
         "N",
         "mode",
+        "lanes",
         "batch i/s",
         "ns/int",
+        "avx2 ns",
         "scalar i/s",
         "lane x",
         "ref i/s",
         "speedup",
         "Gflops38"
     );
-    rule(96);
+    rule(110);
     let mut results = Vec::new();
     for &n in sizes {
         for mode in [ArithMode::Exact, ArithMode::Lns] {
@@ -337,9 +380,10 @@ fn main() {
             results.push(r);
         }
     }
-    rule(96);
+    rule(110);
     println!("(Gflops38: batch rate priced at the paper's 38 ops/interaction convention)");
     println!("(scalar i/s / lane x: exact-mode batch kernel forced onto the scalar skeleton)");
+    println!("(avx2 ns: exact-mode batch kernel forced onto AVX2 when the widest path is AVX-512)");
 
     // phase split for the largest LNS cell — the acceptance workload
     let headline = results
@@ -368,6 +412,13 @@ fn main() {
             lane_str(exact.lane),
             exact.lane_speedup().unwrap()
         );
+        if let Some(x) = exact.avx2_speedup() {
+            println!(
+                "headline: N = {} exact-mode {} lanes are {x:.2}x the avx2 lanes",
+                fmt_count(exact.n as u64),
+                lane_str(exact.lane),
+            );
+        }
     }
 
     if let Some(old) = &baseline {

@@ -262,8 +262,13 @@ use grape5_nbody::util::fixed::{Fixed, FixedFormat};
 fn lane_paths() -> Vec<LanePath> {
     let mut v = vec![LanePath::Scalar, LanePath::Portable];
     #[cfg(target_arch = "x86_64")]
-    if std::is_x86_feature_detected!("avx2") {
-        v.push(LanePath::Avx2);
+    {
+        if std::is_x86_feature_detected!("avx2") {
+            v.push(LanePath::Avx2);
+        }
+        if std::is_x86_feature_detected!("avx512f") && std::is_x86_feature_detected!("avx512dq") {
+            v.push(LanePath::Avx512);
+        }
     }
     v
 }
@@ -310,7 +315,7 @@ fn lane_block_reproduces_golden_bits_in_exact_mode() {
 /// Edge cases the lane structure could plausibly break — remainder
 /// tails (j-counts ≢ 0 mod 4), zero-mass j-particles, coincident i/j
 /// pairs — are bit-identical across the scalar, portable and (where
-/// available) AVX2 paths, at unit and accumulator-stressing force
+/// available) AVX2 and AVX-512 paths, at unit and accumulator-stressing force
 /// scales, for a range of accumulator formats.
 #[test]
 fn lane_edge_cases_bit_identical_across_paths() {
